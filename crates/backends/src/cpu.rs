@@ -466,7 +466,7 @@ fn cpu_worker(
                     ResizeFilter::Bilinear,
                 )
                 .ok()
-                .map(|img| img.to_rgb());
+                .map(|img| img.into_rgb());
                 resize_ns += r0.elapsed().as_nanos() as u64;
                 out
             });

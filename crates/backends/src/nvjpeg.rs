@@ -165,7 +165,7 @@ fn nvjpeg_worker(
                     )
                     .ok()
                 })
-                .map(|img| img.to_rgb());
+                .map(|img| img.into_rgb());
             match decoded {
                 Some(img) => {
                     unit.append(img.data(), meta.label, config.target_w, config.target_h, 3);

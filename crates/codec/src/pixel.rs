@@ -204,6 +204,15 @@ impl Image {
             }
         }
     }
+
+    /// Consuming [`Image::to_rgb`]: an RGB image comes back as is, without
+    /// copying its pixels.
+    pub fn into_rgb(self) -> Image {
+        match self.color {
+            ColorSpace::Rgb => self,
+            ColorSpace::Gray => self.to_rgb(),
+        }
+    }
 }
 
 /// Integer BT.601 luma: `Y = 0.299 R + 0.587 G + 0.114 B`, rounded.
@@ -356,6 +365,11 @@ mod tests {
         let px = rgb.pixel(0, 0);
         assert_eq!(px[0], px[1]);
         assert_eq!(px[1], px[2]);
+        assert_eq!(g.into_rgb(), rgb);
+        // An RGB image moves through `into_rgb` with its buffer intact.
+        let ptr = rgb.data().as_ptr();
+        let moved = rgb.into_rgb();
+        assert_eq!(moved.data().as_ptr(), ptr);
     }
 
     #[test]

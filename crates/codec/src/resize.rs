@@ -57,11 +57,86 @@ fn resize_nearest(src: &Image, dst_w: u32, dst_h: u32) -> Image {
     Image::from_vec(dst_w, dst_h, src.color(), out).expect("dims validated")
 }
 
-/// One horizontal tap of the separable bilinear filter.
-struct XTap {
-    x0: usize,
-    x1: usize,
-    wx: f32,
+/// Horizontal taps of the separable bilinear filter, one per output
+/// element (`dst_w · c` of them), shared by the scalar and AVX2 row passes:
+/// element `i` lerps source bytes `off0[i]` and `off1[i]` of a row
+/// (`x0·c + ch` and `x1·c + ch`) with weight `wx[i]`.
+struct XTaps {
+    off0: Vec<i32>,
+    off1: Vec<i32>,
+    wx: Vec<f32>,
+    /// Leading elements, a multiple of 8, whose 4-byte gathers at `off0`
+    /// and `off1` all stay inside one source row. The AVX2 kernel runs
+    /// these; the rest take the scalar loop.
+    gather_len: usize,
+}
+
+impl XTaps {
+    fn new(sw: usize, dst_w: usize, c: usize) -> XTaps {
+        let x_scale = sw as f32 / dst_w as f32;
+        let n = dst_w * c;
+        let (mut off0, mut off1, mut wx) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        for dx in 0..dst_w {
+            // Pixel-centre mapping: d+0.5 in dst ↔ (d+0.5)·scale in src.
+            let fx = ((dx as f32 + 0.5) * x_scale - 0.5).max(0.0);
+            let x0 = fx as usize;
+            let x1 = (x0 + 1).min(sw - 1);
+            for ch in 0..c {
+                let off = |x: usize| i32::try_from(x * c + ch).expect("rows ≤ MAX_DIM·3 bytes");
+                off0.push(off(x0));
+                off1.push(off(x1));
+                wx.push(fx - x0 as f32);
+            }
+        }
+        let row_bytes = sw * c;
+        let in_row = |i: usize| off0[i].max(off1[i]) as usize + 4 <= row_bytes;
+        let gather_len = (0..n / 8)
+            .take_while(|&k| (k * 8..k * 8 + 8).all(in_row))
+            .count()
+            * 8;
+        XTaps {
+            off0,
+            off1,
+            wx,
+            gather_len,
+        }
+    }
+
+    /// Horizontal lerp of one source row into f32: `p0 + (p1 − p0)·wx`
+    /// per element — the same expression the per-pixel loop evaluates as
+    /// `top`/`bot`, so the AVX2 and scalar paths agree bit for bit.
+    fn lerp_row(&self, row: &[u8], out: &mut [f32]) {
+        let mut start = 0;
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::simd_active() {
+            let n = self.gather_len;
+            // SAFETY: `simd_active` returns true only after runtime AVX2
+            // detection succeeds; every offset below `gather_len` leaves a
+            // 4-byte window inside `row` (checked in `XTaps::new`), and
+            // all four slices hold `n` elements.
+            unsafe {
+                crate::simd::lerp_row_gather_avx2(
+                    row,
+                    &self.off0[..n],
+                    &self.off1[..n],
+                    &self.wx[..n],
+                    &mut out[..n],
+                )
+            };
+            start = n;
+        }
+        let taps = self.off0[start..].iter().zip(&self.off1[start..]);
+        let taps = taps.zip(&self.wx[start..]);
+        for (o, ((&i0, &i1), &wx)) in out[start..].iter_mut().zip(taps) {
+            let p0 = row[i0 as usize] as f32;
+            let p1 = row[i1 as usize] as f32;
+            *o = p0 + (p1 - p0) * wx;
+        }
+    }
 }
 
 /// Vertical bilinear blend of two horizontally-lerped rows into u8 output.
@@ -87,33 +162,9 @@ fn resize_bilinear(src: &Image, dst_w: u32, dst_h: u32) -> Image {
     let sdata = src.data();
     let row_len = dst_w as usize * c;
     let mut out = vec![0u8; row_len * dst_h as usize];
-    // Pixel-centre mapping: d+0.5 in dst ↔ (d+0.5)·scale in src.
-    let x_scale = sw as f32 / dst_w as f32;
     let y_scale = sh as f32 / dst_h as f32;
-    let taps: Vec<XTap> = (0..dst_w as usize)
-        .map(|dx| {
-            let fx = ((dx as f32 + 0.5) * x_scale - 0.5).max(0.0);
-            let x0 = fx as usize;
-            XTap {
-                x0,
-                x1: (x0 + 1).min(sw - 1),
-                wx: fx - x0 as f32,
-            }
-        })
-        .collect();
-    // Horizontal lerp of one source row into f32, shared by every output
-    // row that samples it: `p0 + (p1 − p0)·wx` — the same expression the
-    // per-pixel loop evaluated as `top`/`bot`.
-    let fill = |buf: &mut [f32], y: usize| {
-        let base = y * sw * c;
-        for (dx, t) in taps.iter().enumerate() {
-            for ch in 0..c {
-                let p0 = sdata[base + t.x0 * c + ch] as f32;
-                let p1 = sdata[base + t.x1 * c + ch] as f32;
-                buf[dx * c + ch] = p0 + (p1 - p0) * t.wx;
-            }
-        }
-    };
+    let taps = XTaps::new(sw, dst_w as usize, c);
+    let src_row = |y: usize| &sdata[y * sw * c..][..sw * c];
     // Two-slot row cache keyed by source-row parity: `y0` and `y1` differ
     // by at most one, so parity separates them, and because `y0` is
     // nondecreasing in `dy` an evicted row is never needed again. Upscales
@@ -134,7 +185,7 @@ fn resize_bilinear(src: &Image, dst_w: u32, dst_h: u32) -> Image {
                 (&mut row_odd, &mut idx_odd)
             };
             if *idx != y {
-                fill(buf, y);
+                taps.lerp_row(src_row(y), buf);
                 *idx = y;
             }
         }
@@ -299,13 +350,64 @@ mod tests {
             state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
             (state >> 24) as u8
         };
+        // (src, dst) pairs: small odd shapes, ILSVRC geometries, 1-pixel
+        // wide/tall sources (the `x1`/`y1` clamp) and output rows whose
+        // element count is not a multiple of 8.
+        let mut cases: Vec<((u32, u32), (u32, u32))> = Vec::new();
         for (sw, sh) in [(17, 13), (32, 32), (5, 40)] {
-            let data: Vec<u8> = (0..sw * sh * 3).map(|_| rng()).collect();
-            let img = Image::from_vec(sw, sh, ColorSpace::Rgb, data).unwrap();
             for (dw, dh) in [(8, 8), (40, 9), (64, 64), (sw, 2 * sh)] {
-                let got = resize(&img, dw, dh, ResizeFilter::Bilinear).unwrap();
+                cases.push(((sw, sh), (dw, dh)));
+            }
+        }
+        cases.extend([
+            ((500, 375), (224, 224)),
+            ((585, 439), (224, 224)),
+            ((1, 37), (7, 11)),
+            ((1, 37), (1, 5)),
+            ((41, 1), (13, 3)),
+            ((41, 1), (97, 1)),
+            ((1, 1), (9, 9)),
+            ((300, 200), (131, 77)),
+            ((64, 48), (250, 3)),
+        ]);
+        let _guard = crate::simd::TEST_MODE_LOCK.lock().unwrap();
+        for color in [ColorSpace::Rgb, ColorSpace::Gray] {
+            for &((sw, sh), (dw, dh)) in &cases {
+                let n = (sw * sh) as usize * color.channels();
+                let data: Vec<u8> = (0..n).map(|_| rng()).collect();
+                let img = Image::from_vec(sw, sh, color, data).unwrap();
                 let want = bilinear_reference(&img, dw, dh);
-                assert_eq!(got.data(), &want[..], "{sw}x{sh} -> {dw}x{dh}");
+                for scalar in [true, false] {
+                    crate::simd::force_scalar(scalar);
+                    let got = resize(&img, dw, dh, ResizeFilter::Bilinear);
+                    crate::simd::force_scalar(false);
+                    assert_eq!(
+                        got.unwrap().data(),
+                        &want[..],
+                        "{color:?} {sw}x{sh} -> {dw}x{dh}, forced scalar {scalar}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_prefix_stays_inside_the_row() {
+        for (sw, dw, c) in [
+            (585, 224, 3),
+            (500, 224, 1),
+            (3, 40, 3),
+            (1, 16, 1),
+            (9, 8, 1),
+        ] {
+            let taps = XTaps::new(sw, dw, c);
+            assert_eq!(taps.gather_len % 8, 0);
+            for i in 0..taps.gather_len {
+                assert!(taps.off0[i].max(taps.off1[i]) as usize + 4 <= sw * c);
+            }
+            // Downscales keep all but the last few elements on the SIMD path.
+            if sw >= 2 * dw {
+                assert!(taps.gather_len + 16 >= dw * c, "{sw}->{dw} x{c}");
             }
         }
     }

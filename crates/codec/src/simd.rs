@@ -2,7 +2,7 @@
 //!
 //! The paper attacks JPEG decode with dedicated FPGA units; this module is
 //! the CPU-side analogue: AVX2 implementations of the iDCT, YCbCr→RGB
-//! conversion, chroma upsampling and the bilinear vertical pass, selected at
+//! conversion, chroma upsampling and both bilinear resize passes, selected at
 //! runtime via `is_x86_feature_detected!` with the scalar code as fallback.
 //!
 //! **Bit-exactness contract.** Every kernel here performs, per lane, the
@@ -71,6 +71,11 @@ pub fn force_scalar(force: bool) {
         MODE.store(detect(), Ordering::Relaxed);
     }
 }
+
+/// Serialises unit tests that flip the dispatch mode, so one test's flip
+/// cannot land between another's flip and the check that depends on it.
+#[cfg(test)]
+pub(crate) static TEST_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Hints the CPU to pull the cache line at `p + offset` toward L1. Used by
 /// the segment-parallel decoder to overlap the next restart segment's
@@ -381,16 +386,62 @@ mod x86 {
             let t = _mm256_loadu_ps(top.as_ptr().add(i));
             let b = _mm256_loadu_ps(bot.as_ptr().add(i));
             let v = _mm256_add_ps(t, _mm256_mul_ps(_mm256_sub_ps(b, t), wyv));
-            let mut vi = [0i32; 8];
-            _mm256_storeu_si256(vi.as_mut_ptr() as *mut __m256i, clamp_round_i32(v));
-            for k in 0..8 {
-                out[i + k] = vi[k] as u8;
-            }
+            // Lanes are already in [0, 255], so both unsigned-saturating
+            // packs are exact: 8 i32 → 8 u16 → 8 u8, one 8-byte store.
+            let vi = clamp_round_i32(v);
+            let w = _mm_packus_epi32(_mm256_castsi256_si128(vi), _mm256_extracti128_si256(vi, 1));
+            _mm_storel_epi64(
+                out.as_mut_ptr().add(i) as *mut __m128i,
+                _mm_packus_epi16(w, w),
+            );
             i += 8;
         }
         while i < n {
             out[i] = clamp_u8(top[i] + (bot[i] - top[i]) * wy);
             i += 1;
+        }
+    }
+
+    /// Horizontal bilinear pass over one source row: `out[i] = p0 + (p1 −
+    /// p0) · wx[i]` with `p0 = row[off0[i]]`, `p1 = row[off1[i]]`, 8 lanes
+    /// per iteration. Each lane gathers the 4 bytes at its offset and keeps
+    /// the low one, then runs the scalar expression's f32 ops in order
+    /// (no FMA), so it is bit-exact with the scalar loop.
+    ///
+    /// # Safety
+    /// The host must support AVX2. `off1`, `wx` and `out` must be as long
+    /// as `off0`, that length a multiple of 8, and every offset `o` must
+    /// satisfy `0 <= o` and `o + 4 <= row.len()` so no gather reads past
+    /// the row.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn lerp_row_gather_avx2(
+        row: &[u8],
+        off0: &[i32],
+        off1: &[i32],
+        wx: &[f32],
+        out: &mut [f32],
+    ) {
+        let n = off0.len();
+        debug_assert!(n.is_multiple_of(8));
+        debug_assert!(off1.len() == n && wx.len() == n && out.len() == n);
+        debug_assert!(off0
+            .iter()
+            .chain(off1)
+            .all(|&o| o >= 0 && o as usize + 4 <= row.len()));
+        let base = row.as_ptr() as *const i32;
+        let low_byte = _mm256_set1_epi32(0xFF);
+        let mut i = 0usize;
+        while i < n {
+            let i0 = _mm256_loadu_si256(off0.as_ptr().add(i) as *const __m256i);
+            let i1 = _mm256_loadu_si256(off1.as_ptr().add(i) as *const __m256i);
+            let g0 = _mm256_and_si256(_mm256_i32gather_epi32::<1>(base, i0), low_byte);
+            let g1 = _mm256_and_si256(_mm256_i32gather_epi32::<1>(base, i1), low_byte);
+            let p0 = _mm256_cvtepi32_ps(g0);
+            let p1 = _mm256_cvtepi32_ps(g1);
+            let w = _mm256_loadu_ps(wx.as_ptr().add(i));
+            let v = _mm256_add_ps(p0, _mm256_mul_ps(_mm256_sub_ps(p1, p0), w));
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), v);
+            i += 8;
         }
     }
 }
@@ -401,6 +452,7 @@ mod tests {
 
     #[test]
     fn detection_is_cached_and_overridable() {
+        let _guard = TEST_MODE_LOCK.lock().unwrap();
         let initial = simd_active();
         force_scalar(true);
         assert!(!simd_active());
@@ -496,6 +548,38 @@ mod tests {
                 unsafe { upsample_dup2_row_avx2(&src, &mut got) };
                 for (i, &v) in got.iter().enumerate() {
                     assert_eq!(v, src[i / 2], "len {len} idx {i}");
+                }
+            }
+        }
+
+        #[test]
+        fn gather_kernel_bit_exact_with_scalar() {
+            if !have_avx2() {
+                return;
+            }
+            let mut state = 0x6A7Bu32;
+            for row_len in [4usize, 5, 12, 100, 1755] {
+                let row: Vec<u8> = (0..row_len).map(|_| lcg(&mut state) as u8).collect();
+                let span = (row_len - 3) as u32;
+                for n in [0usize, 8, 64] {
+                    let off0: Vec<i32> = (0..n).map(|_| (lcg(&mut state) % span) as i32).collect();
+                    let off1: Vec<i32> = (0..n).map(|_| (lcg(&mut state) % span) as i32).collect();
+                    let wx: Vec<f32> = (0..n)
+                        .map(|_| (lcg(&mut state) % 1000) as f32 / 1000.0)
+                        .collect();
+                    let want: Vec<u32> = (0..n)
+                        .map(|i| {
+                            let p0 = row[off0[i] as usize] as f32;
+                            let p1 = row[off1[i] as usize] as f32;
+                            (p0 + (p1 - p0) * wx[i]).to_bits()
+                        })
+                        .collect();
+                    let mut got = vec![0f32; n];
+                    // SAFETY: guarded by have_avx2 above; every offset is
+                    // below `row_len - 3`.
+                    unsafe { lerp_row_gather_avx2(&row, &off0, &off1, &wx, &mut got) };
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(want, got, "row_len {row_len} n {n}");
                 }
             }
         }

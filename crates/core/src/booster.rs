@@ -348,7 +348,9 @@ impl DlBooster {
                 target_w: config.target_w,
                 target_h: config.target_h,
                 format: config.format,
-                max_batches: None, // the router enforces the delivery bound
+                // The reader submits no more batches than the run
+                // delivers; the router keeps its own guard.
+                max_batches: config.max_batches,
                 cmd_timeout: config.cmd_timeout,
                 full_queue_depth: wiring.full_queue_depth,
                 augmentor: wiring.augmentor,

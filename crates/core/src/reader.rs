@@ -471,7 +471,7 @@ impl ReaderCore<'_> {
         };
         self.next_sequence += 1;
         self.stats.batches_completed.inc();
-        self.full_queue.push(batch).is_ok()
+        push_or_recycle(self.full_queue, self.pool, batch)
     }
 
     /// Timeout watchdog: if the oldest in-flight submission is past the
@@ -548,6 +548,23 @@ enum WaitOutcome {
     Idle,
     EngineGone,
     QueueDown,
+}
+
+/// Pushes a finished batch to the full queue. A closed queue hands the
+/// batch back, and its unit goes back to the pool rather than being
+/// dropped with it. Returns false when the queue is closed.
+fn push_or_recycle(
+    full_queue: &BlockingQueue<HostBatch>,
+    pool: &MemManager,
+    batch: HostBatch,
+) -> bool {
+    match full_queue.push_or_return(batch) {
+        Ok(()) => true,
+        Err(returned) => {
+            let _ = pool.recycle_item(returned.unit);
+            false
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -721,7 +738,7 @@ fn run_reader(
                     Instant::now(),
                 );
             }
-            if full_queue.push(batch).is_err() {
+            if !push_or_recycle(&full_queue, &pool, batch) {
                 break 'main;
             }
             continue;
@@ -745,12 +762,15 @@ fn run_reader(
     }
 
     // Drain everything still in flight, then close (Alg. 1 lines 16–19).
+    // Once the full queue is closed nothing more is routed, but each
+    // unit still on the device goes back to the pool: a leaked unit can
+    // starve the epoch-cache replay that runs after this reader stops.
+    let mut routing = true;
     while channel.in_flight() > 0 {
         match core.wait_completion() {
+            WaitOutcome::Got(done) if routing => routing = core.on_completion(done),
             WaitOutcome::Got(done) => {
-                if !core.on_completion(done) {
-                    break;
-                }
+                let _ = pool.recycle_item(done.unit);
             }
             WaitOutcome::Idle => {}
             WaitOutcome::EngineGone | WaitOutcome::QueueDown => break,

@@ -548,7 +548,7 @@ fn decode_one(
     };
     // Output-format conversion (RGB unit of Fig. 4).
     let image = match cmd.format {
-        OutputFormat::Rgb8 => image.to_rgb(),
+        OutputFormat::Rgb8 => image.into_rgb(),
         OutputFormat::Gray8 => image.to_gray(),
     };
     debug_assert_eq!(
